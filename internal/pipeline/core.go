@@ -26,12 +26,22 @@ type Core struct {
 	regs      [isa.NumRegs]uint64
 	renameMap [isa.NumRegs]int64 // producer seq, -1 = committed regfile
 
+	// The ROB is a power-of-two ring indexed by seq&robMask; cfg.ROBSize
+	// stays the capacity. The queues below hold seqs of live entries and
+	// answer the per-cycle questions without walking the ROB (see
+	// DESIGN.md, "Detailed-core scheduling"): all but exec are
+	// age-ordered, appended in seq order and trimmed as a suffix on
+	// squash.
 	rob     []robEntry
+	robMask uint64
 	headSeq uint64 // oldest live seq
 	tailSeq uint64 // next seq to allocate
-	iq      []uint64
+	iq      []iqSlot
 	lq      []uint64
-	sq      []uint64
+	sq      []uint64 // stores and flushes
+	brq     []uint64 // conditional branches
+	fpq     []uint64 // SDO FP operations whose resolution is pending
+	exec    []uint64 // unordered: issued entries that complete by time
 	parked  []parkedSquash
 	fpPortsBusy,
 	intPortsBusy,
@@ -95,9 +105,10 @@ func New(cfg Config, prog *isa.Program, data *isa.Memory, port MemPort) *Core {
 		data:   data,
 		port:   port,
 		bp:     bpred.New(cfg.BP),
-		rob:    make([]robEntry, cfg.ROBSize),
+		rob:    make([]robEntry, ringSize(cfg.ROBSize)),
 		scheme: cfg.Scheme,
 	}
+	c.robMask = uint64(len(c.rob) - 1)
 	c.schemeTaint = c.scheme.TracksTaint()
 	if m := c.scheme.SpecMode(); m != mem.SpecOff {
 		sp, ok := port.(SpecMemPort)
@@ -155,7 +166,16 @@ func (c *Core) Cycle() uint64 { return c.cycle }
 func (c *Core) Halted() bool { return c.halted }
 
 // entry returns the ROB entry for a live seq.
-func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq%uint64(len(c.rob))] }
+func (c *Core) entry(seq uint64) *robEntry { return &c.rob[seq&c.robMask] }
+
+// ringSize is the smallest power of two holding n entries.
+func ringSize(n int) int {
+	r := 1
+	for r < n {
+		r <<= 1
+	}
+	return r
+}
 
 func (c *Core) live(seq uint64) bool { return seq >= c.headSeq && seq < c.tailSeq }
 
@@ -276,26 +296,26 @@ func (c *Core) fetch() {
 // --- Rename / dispatch ---
 
 func (c *Core) rename() {
-	for n := 0; n < c.cfg.Width && len(c.fetchBuf) > 0; n++ {
+	n := 0
+	for ; n < c.cfg.Width && n < len(c.fetchBuf); n++ {
 		if c.tailSeq-c.headSeq >= uint64(c.cfg.ROBSize) {
-			return // ROB full
+			break // ROB full
 		}
-		slot := c.fetchBuf[0]
+		slot := &c.fetchBuf[n]
 		in := slot.in
 		needsIQ := in.Op != isa.OpNop && in.Op != isa.OpHalt && in.Op != isa.OpFlush && in.Op != isa.OpJmp
 		if needsIQ && len(c.iq) >= c.cfg.IQSize {
-			return
+			break
 		}
 		if in.Op.IsLoad() && len(c.lq) >= c.cfg.LQSize {
-			return
+			break
 		}
 		if in.Op.IsStore() && len(c.sq) >= c.cfg.SQSize {
-			return
+			break
 		}
 		if in.Op == isa.OpFlush && len(c.sq) >= c.cfg.SQSize {
-			return // flushes order with stores via the SQ
+			break // flushes order with stores via the SQ
 		}
-		c.fetchBuf = c.fetchBuf[1:]
 
 		seq := c.tailSeq
 		c.tailSeq++
@@ -305,12 +325,14 @@ func (c *Core) rename() {
 				Detail: fmt.Sprintf("seq=%d pc=%d %v", seq, slot.pc, slot.in)})
 		}
 		e := c.entry(seq)
-		*e = robEntry{
-			seq: seq, pc: slot.pc, in: in,
-			predTaken: slot.predTaken, predTarget: slot.predTarget,
-			bpSnap: slot.snap, sqForward: -1, prevProd: -1,
-		}
-		srcs := in.SrcRegs(nil)
+		// Clear, then fill: a composite literal would be built on the
+		// stack and copied into the slot.
+		*e = robEntry{}
+		e.seq, e.pc, e.in = seq, slot.pc, in
+		e.predTaken, e.predTarget, e.bpSnap = slot.predTaken, slot.predTarget, slot.snap
+		e.sqForward, e.prevProd = -1, -1
+		var buf [2]isa.Reg
+		srcs := in.SrcRegs(buf[:0])
 		e.nSrc = len(srcs)
 		for i, r := range srcs {
 			e.src[i] = operand{reg: r, producer: c.renameMap[r]}
@@ -335,7 +357,10 @@ func (c *Core) rename() {
 			e.state = stDone
 			c.sq = append(c.sq, seq)
 		default:
-			c.iq = append(c.iq, seq)
+			c.iq = append(c.iq, iqSlot{seq: seq})
+		}
+		if in.Op.IsCondBranch() {
+			c.brq = append(c.brq, seq)
 		}
 		if in.Op.IsLoad() {
 			c.lq = append(c.lq, seq)
@@ -344,6 +369,9 @@ func (c *Core) rename() {
 			c.sq = append(c.sq, seq)
 		}
 	}
+	// Pop the renamed slots by copying down: the buffer keeps its
+	// capacity, so fetch's appends never reallocate.
+	c.fetchBuf = c.fetchBuf[:copy(c.fetchBuf, c.fetchBuf[n:])]
 }
 
 // operandInfo resolves an operand's current value, readiness, and taint
@@ -377,6 +405,26 @@ func (c *Core) srcsReady(e *robEntry) (ready bool, vals [2]uint64, root uint64) 
 		}
 	}
 	return ready, vals, root
+}
+
+// produced reports whether producer seq p's value can be read: p has
+// committed (0, the regfile sentinel, always has) or its result is bound.
+func (c *Core) produced(p uint64) bool { return p < c.headSeq || c.entry(p).state == stDone }
+
+// pendingProducer returns the producer of the first operand e cannot
+// issue without (0: none). Loads and stores need only their address;
+// store data may bind after issue.
+func (c *Core) pendingProducer(e *robEntry) uint64 {
+	n := e.nSrc
+	if e.in.Op.IsMem() {
+		n = 1
+	}
+	for _, o := range e.src[:n] {
+		if o.producer >= 0 && !c.produced(uint64(o.producer)) {
+			return uint64(o.producer)
+		}
+	}
+	return 0
 }
 
 // tainted reports whether a root is still speculative under the current

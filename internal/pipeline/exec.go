@@ -9,16 +9,23 @@ import (
 
 // issue selects ready instructions from the issue queue in age order,
 // subject to functional-unit availability and the active protection
-// policy's transmitter rules, and begins their execution.
+// policy's transmitter rules, and begins their execution. A slot whose
+// recorded producer has not bound its value is skipped without being
+// evaluated: the visit would fail on that operand with no side effect.
+// Every other slot is visited, so taint-delayed transmitters are still
+// charged their per-cycle delay.
 func (c *Core) issue() {
 	issued := 0
 	kept := c.iq[:0]
-	for _, seq := range c.iq {
-		e := c.entry(seq)
-		if issued >= c.cfg.Width {
-			kept = append(kept, seq)
+	for _, q := range c.iq {
+		if q.seq >= c.tailSeq {
+			break // squashed by a store's memory-order check this cycle
+		}
+		if issued >= c.cfg.Width || !c.produced(q.wait) {
+			kept = append(kept, q)
 			continue
 		}
+		e := c.entry(q.seq)
 		ok := false
 		switch {
 		case e.in.Op.IsCondBranch():
@@ -32,10 +39,14 @@ func (c *Core) issue() {
 		default:
 			ok = c.issueALU(e)
 		}
-		if ok {
-			issued++
-		} else {
-			kept = append(kept, seq)
+		if !ok {
+			q.wait = c.pendingProducer(e)
+			kept = append(kept, q)
+			continue
+		}
+		issued++
+		if e.state == stExecuting && e.obl == oblNone && !e.isStore() {
+			c.exec = append(c.exec, q.seq)
 		}
 	}
 	c.iq = kept
@@ -137,17 +148,26 @@ func (c *Core) issueStore(e *robEntry) bool {
 	return true
 }
 
-// completeExecution retires finished executions into the "done" state and
-// binds late store data.
+// completeExecution retires finished timed executions into the "done"
+// state and binds late store data. Completions never depend on each
+// other, and a store's data producer is older than the store, so binding
+// after every completion matches an oldest-first walk of the ROB.
 func (c *Core) completeExecution() {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+	kept := c.exec[:0]
+	for _, seq := range c.exec {
 		e := c.entry(seq)
-		if e.state == stExecuting && e.obl == oblNone && !e.isStore() && c.cycle >= e.doneAt {
-			e.state = stDone
-			if e.in.Op.IsCondBranch() {
-				e.resolved = true
-			}
+		if c.cycle < e.doneAt {
+			kept = append(kept, seq)
+			continue
 		}
+		e.state = stDone
+		if e.in.Op.IsCondBranch() {
+			e.resolved = true
+		}
+	}
+	c.exec = kept
+	for _, seq := range c.sq {
+		e := c.entry(seq)
 		if e.isStore() && e.addrValid && !e.sqDataReady {
 			if dv, ok, _ := c.operandInfo(e.src[1]); ok {
 				e.sqData = dv

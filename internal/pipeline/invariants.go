@@ -9,7 +9,8 @@ import (
 // CheckInvariants verifies internal consistency of the core's speculative
 // state. It is exercised by tests after every cycle of randomized runs; a
 // violation indicates a bookkeeping bug (rename repair, queue trimming,
-// frontier monotonicity within a squash-free region, ...).
+// frontier monotonicity within a squash-free region, the scheduling
+// queues matching the ROB they index, ...).
 func (c *Core) CheckInvariants() error {
 	if c.tailSeq < c.headSeq {
 		return fmt.Errorf("pipeline: tail %d < head %d", c.tailSeq, c.headSeq)
@@ -72,13 +73,54 @@ func (c *Core) CheckInvariants() error {
 		return err
 	}
 
-	// The IQ holds only live, un-issued instructions.
-	for _, seq := range c.iq {
-		if !c.live(seq) {
-			return fmt.Errorf("pipeline: IQ holds dead seq %d", seq)
+	if err := checkQueue("BRQ", c.brq, func(e *robEntry) bool { return e.in.Op.IsCondBranch() }); err != nil {
+		return err
+	}
+	// fpq holds exactly the SDO FP operations whose resolution is
+	// pending; its length is the pending count resolveFPSDO tests.
+	if err := checkQueue("FPQ", c.fpq, func(e *robEntry) bool { return e.fpSDO && !e.effectApplied }); err != nil {
+		return err
+	}
+
+	// The IQ holds live, un-issued instructions in age order; each wait
+	// record names an older producer (or none).
+	prev := uint64(0)
+	for _, q := range c.iq {
+		if q.seq <= prev {
+			return fmt.Errorf("pipeline: IQ not age-ordered at %d", q.seq)
 		}
-		if st := c.entry(seq).state; st != stWaiting {
-			return fmt.Errorf("pipeline: IQ holds seq %d in state %d", seq, st)
+		prev = q.seq
+		if !c.live(q.seq) {
+			return fmt.Errorf("pipeline: IQ holds dead seq %d", q.seq)
+		}
+		if st := c.entry(q.seq).state; st != stWaiting {
+			return fmt.Errorf("pipeline: IQ holds seq %d in state %d", q.seq, st)
+		}
+		if q.wait >= q.seq {
+			return fmt.Errorf("pipeline: IQ seq %d waits on producer %d, not older", q.seq, q.wait)
+		}
+	}
+
+	// The completion list holds exactly the live timed executions: every
+	// executing entry that is neither an Obl-Ld nor a store, once.
+	timed := func(e *robEntry) bool { return e.state == stExecuting && e.obl == oblNone && !e.isStore() }
+	inExec := make(map[uint64]bool, len(c.exec))
+	for _, seq := range c.exec {
+		if !c.live(seq) {
+			return fmt.Errorf("pipeline: completion list holds dead seq %d", seq)
+		}
+		if inExec[seq] {
+			return fmt.Errorf("pipeline: completion list holds seq %d twice", seq)
+		}
+		inExec[seq] = true
+		if e := c.entry(seq); !timed(e) {
+			return fmt.Errorf("pipeline: completion list holds seq %d in state %d (obl=%d, %v)",
+				seq, e.state, e.obl, e.in)
+		}
+	}
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		if timed(c.entry(seq)) && !inExec[seq] {
+			return fmt.Errorf("pipeline: completion list is missing executing seq %d", seq)
 		}
 	}
 
@@ -103,9 +145,38 @@ func (c *Core) CheckInvariants() error {
 		}
 	}
 
+	// The queue-based frontier agrees with its definition: the first
+	// live entry that can still be squashed under the attack model.
+	walk := c.tailSeq
+	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+		if c.blocksFrontier(c.entry(seq)) {
+			walk = seq
+			break
+		}
+	}
+	if f := c.computeFrontier(); f != walk {
+		return fmt.Errorf("pipeline: queue frontier %d, ROB walk finds %d", f, walk)
+	}
+
 	// The frontier never exceeds the allocation point.
 	if c.frontier > c.tailSeq {
 		return fmt.Errorf("pipeline: frontier %d beyond tail %d", c.frontier, c.tailSeq)
 	}
 	return nil
+}
+
+// blocksFrontier is computeFrontier's definition for one entry.
+func (c *Core) blocksFrontier(e *robEntry) bool {
+	switch {
+	case e.pendingSq:
+		return true
+	case c.cfg.Model == Spectre:
+		return e.in.Op.IsCondBranch() && !e.effectApplied
+	case e.isBranch() && !e.effectApplied,
+		e.isStore() && !e.addrValid,
+		e.isLoad() && loadUnfinished(e),
+		e.fpSDO && !e.effectApplied:
+		return true
+	}
+	return false
 }

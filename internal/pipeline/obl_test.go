@@ -217,33 +217,6 @@ func TestOblFailSquashesOnlyWhenSafe(t *testing.T) {
 	}
 }
 
-func TestInvariantsHoldDuringRun(t *testing.T) {
-	// Step a protected core cycle-by-cycle over a gadget-heavy program and
-	// check structural invariants every cycle.
-	prog, init := taintedLoadGadget()
-	for _, mdl := range []AttackModel{Spectre, Futuristic} {
-		data := isa.NewMemory()
-		init(data)
-		h := mem.NewHierarchy(mem.DefaultConfig())
-		cfg := DefaultConfig()
-		cfg.Protection = ProtSDO
-		cfg.Model = mdl
-		cfg.LocPred = sdo.NewHybrid(512)
-		core := New(cfg, prog, data, h)
-		for !core.Halted() && core.Cycle() < 300_000 {
-			if err := core.Step(); err != nil {
-				t.Fatal(err)
-			}
-			if err := core.CheckInvariants(); err != nil {
-				t.Fatalf("%v cycle %d: %v", mdl, core.Cycle(), err)
-			}
-		}
-		if !core.Halted() {
-			t.Fatalf("%v: did not halt", mdl)
-		}
-	}
-}
-
 func TestWatchdogFiresOnStuckCore(t *testing.T) {
 	// A pathological configuration: zero-size IQ budget means nothing can
 	// dispatch past the first instructions and the watchdog must trip

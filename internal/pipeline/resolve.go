@@ -32,42 +32,56 @@ func (c *Core) resolve() {
 // stores with unresolved addresses (memory-order violations), loads whose
 // own value/validation story is not finished, unresolved SDO operations,
 // and parked squashes.
+//
+// Each kind of blocker lives in its own age-ordered queue, so the
+// frontier is the oldest of the queues' first blockers: branches in brq;
+// pending squashes, which only loads carry, in lq; and, under
+// Futuristic, unresolved store addresses in sq, unfinished loads in lq
+// and unresolved SDO FP operations (all of fpq).
 func (c *Core) computeFrontier() uint64 {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
-		if c.blocksFrontier(c.entry(seq)) {
-			return seq
+	f := c.tailSeq
+	for _, seq := range c.brq {
+		if !c.entry(seq).effectApplied {
+			f = seq
+			break
 		}
 	}
-	return c.tailSeq
+	futuristic := c.cfg.Model == Futuristic
+	for _, seq := range c.lq {
+		if seq >= f {
+			break
+		}
+		if e := c.entry(seq); e.pendingSq || futuristic && loadUnfinished(e) {
+			f = seq
+			break
+		}
+	}
+	if !futuristic {
+		return f
+	}
+	for _, seq := range c.sq {
+		if seq >= f {
+			break
+		}
+		if e := c.entry(seq); e.isStore() && !e.addrValid {
+			f = seq
+			break
+		}
+	}
+	if len(c.fpq) > 0 && c.fpq[0] < f {
+		f = c.fpq[0]
+	}
+	return f
 }
 
-func (c *Core) blocksFrontier(e *robEntry) bool {
-	if e.pendingSq {
-		return true
+// loadUnfinished reports whether a load's own value/validation story can
+// still squash it: a normal load before its value binds, an Obl-Ld
+// before it resolves.
+func loadUnfinished(e *robEntry) bool {
+	if e.obl != oblNone {
+		return e.obl != oblResolved
 	}
-	if c.cfg.Model == Spectre {
-		return e.in.Op.IsCondBranch() && !e.effectApplied
-	}
-	// Futuristic.
-	if e.isBranch() && !e.effectApplied {
-		return true
-	}
-	if e.isStore() && !e.addrValid {
-		return true
-	}
-	if e.isLoad() {
-		if e.obl != oblNone {
-			if e.obl != oblResolved {
-				return true
-			}
-		} else if e.state != stDone {
-			return true
-		}
-	}
-	if e.fpSDO && !e.effectApplied {
-		return true
-	}
-	return false
+	return e.state != stDone
 }
 
 // applyParked applies, oldest first, every parked squash whose predicate
@@ -111,9 +125,9 @@ func (c *Core) applyParked() {
 // STT/SDO a tainted predicate parks the resolution (and the predictor
 // update) until it untaints — the resolution-based implicit channel rule.
 func (c *Core) resolveBranches() {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+	for _, seq := range c.brq {
 		e := c.entry(seq)
-		if !e.in.Op.IsCondBranch() || !e.resolved || e.effectApplied {
+		if !e.resolved || e.effectApplied {
 			continue
 		}
 		if c.schemeTaint && !c.cfg.NoImplicitChannelProtection && c.tainted(e.destRoot) {
@@ -143,16 +157,18 @@ func (c *Core) resolveBranches() {
 }
 
 // resolveFPSDO resolves SDO floating-point operations whose arguments have
-// untainted: success trains nothing (the static predictor has no state);
-// failure squashes starting at the operation, which then re-executes on
-// the normal (data-dependent latency) path.
+// untainted, oldest first: success trains nothing (the static predictor
+// has no state); failure squashes starting at the operation, which then
+// re-executes on the normal (data-dependent latency) path.
 func (c *Core) resolveFPSDO() {
-	for seq := c.headSeq; seq < c.tailSeq; seq++ {
+	if len(c.fpq) == 0 {
+		return
+	}
+	kept := c.fpq[:0]
+	for _, seq := range c.fpq {
 		e := c.entry(seq)
-		if !e.fpSDO || e.effectApplied || e.state == stWaiting {
-			continue
-		}
 		if c.tainted(argsRoot(e)) {
+			kept = append(kept, seq)
 			continue
 		}
 		e.effectApplied = true
@@ -163,10 +179,24 @@ func (c *Core) resolveFPSDO() {
 					Seq: e.seq, PC: e.pc,
 					Detail: fmt.Sprintf("seq=%d pc=%d %v subnormal operands", e.seq, e.pc, e.in)})
 			}
+			c.fpq = kept // the squash discards every younger entry
 			c.squash(e.seq, sqFPFail, e.pc)
 			return
 		}
 	}
+	c.fpq = kept
+}
+
+// addFPSDO records an SDO FP operation whose resolution is now pending.
+// Issue is out of order, so the seq is inserted at its age position.
+func (c *Core) addFPSDO(seq uint64) {
+	i := len(c.fpq)
+	for i > 0 && c.fpq[i-1] > seq {
+		i--
+	}
+	c.fpq = append(c.fpq, 0)
+	copy(c.fpq[i+1:], c.fpq[i:])
+	c.fpq[i] = seq
 }
 
 // argsRoot returns the taint root of an instruction's source operands
@@ -207,23 +237,30 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 			c.bp.Restore(snap)
 		}
 
-		trim := func(q []uint64) []uint64 {
-			for len(q) > 0 && q[len(q)-1] >= from {
-				q = q[:len(q)-1]
-			}
-			return q
+		// Trimming only shortens the ordered queues, never writes them:
+		// issue may be mid-walk over the IQ when a store's check squashes.
+		for len(c.iq) > 0 && c.iq[len(c.iq)-1].seq >= from {
+			c.iq = c.iq[:len(c.iq)-1]
 		}
-		c.iq = trimUnordered(c.iq, from)
-		c.lq = trim(c.lq)
-		c.sq = trim(c.sq)
+		c.lq = trimSuffix(c.lq, from)
+		c.sq = trimSuffix(c.sq, from)
+		c.brq = trimSuffix(c.brq, from)
+		c.fpq = trimSuffix(c.fpq, from)
+		kept := c.exec[:0]
+		for _, s := range c.exec {
+			if s < from {
+				kept = append(kept, s)
+			}
+		}
+		c.exec = kept
 
-		kept := c.parked[:0]
+		parked := c.parked[:0]
 		for _, p := range c.parked {
 			if p.from < from {
-				kept = append(kept, p)
+				parked = append(parked, p)
 			}
 		}
-		c.parked = kept
+		c.parked = parked
 
 		c.tailSeq = from
 	}
@@ -244,17 +281,17 @@ func (c *Core) squash(from uint64, cause squashCause, refetch int) {
 	}
 }
 
-// trimUnordered removes seqs >= from from a queue that may not be sorted
-// (the IQ is age-ordered on append but issue removes from the middle).
-func trimUnordered(q []uint64, from uint64) []uint64 {
-	kept := q[:0]
-	for _, s := range q {
-		if s < from {
-			kept = append(kept, s)
-		}
+// trimSuffix removes seqs >= from from an age-ordered queue.
+func trimSuffix(q []uint64, from uint64) []uint64 {
+	for len(q) > 0 && q[len(q)-1] >= from {
+		q = q[:len(q)-1]
 	}
-	return kept
+	return q
 }
+
+// popFront removes an age-ordered queue's oldest seq by copying the rest
+// down, so the queue keeps its capacity and appends never reallocate.
+func popFront(q []uint64) []uint64 { return q[:copy(q, q[1:])] }
 
 // commit retires completed instructions in order, applying stores and
 // flushes to the architectural memory and the cache hierarchy.
@@ -317,10 +354,13 @@ func (c *Core) commit() {
 			}
 		}
 		if len(c.lq) > 0 && c.lq[0] == e.seq {
-			c.lq = c.lq[1:]
+			c.lq = popFront(c.lq)
 		}
 		if len(c.sq) > 0 && c.sq[0] == e.seq {
-			c.sq = c.sq[1:]
+			c.sq = popFront(c.sq)
+		}
+		if len(c.brq) > 0 && c.brq[0] == e.seq {
+			c.brq = popFront(c.brq)
 		}
 		if c.obs.On(obs.ClassCommit) {
 			c.obs.Emit(obs.Event{Cycle: c.cycle, Class: obs.ClassCommit, Kind: "commit",

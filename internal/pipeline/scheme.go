@@ -180,6 +180,7 @@ func (schemeSDO) IssueTaintedFP(c *Core, e *robEntry, vals [2]uint64, root uint6
 	e.destVal = isa.EvalALU(e.in, vals[0], vals[1], c.cycle)
 	e.destRoot = root
 	e.fpSDO = true
+	c.addFPSDO(e.seq)
 	e.fpArgs = [2]uint64{vals[0], vals[1]}
 	e.fpFail = isa.FPSlowPath(e.in.Op, vals[0], vals[1], e.destVal)
 	e.doneAt = c.cycle + opLatency(e.in, vals[0], vals[1], e.destVal, true)

@@ -54,6 +54,11 @@ type operand struct {
 	producer int64 // -1 when the value comes from the committed regfile
 }
 
+// iqSlot is one issue-queue entry: the waiting instruction and the
+// producer whose value it last found missing (0: none recorded). Issue
+// skips the slot until that producer's value is bound.
+type iqSlot struct{ seq, wait uint64 }
+
 // robEntry is one in-flight instruction. It embeds the load/store-queue
 // fields (the §VI-A extensions included) since LQ/SQ entries correspond
 // 1:1 with their ROB entries.

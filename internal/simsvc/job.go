@@ -101,21 +101,25 @@ func (j *Job) Options() harness.Options { return j.opt }
 // Trace returns the job's span-tree trace (nil with tracing off).
 func (j *Job) Trace() *trace.JobTrace { return j.jt }
 
-// Done is closed when the job reaches a terminal state.
+// Done is closed once the job has reached a terminal state and its
+// onTerminal hook has returned.
 func (j *Job) Done() <-chan struct{} { return j.done }
 
 // finish moves the job into a terminal state. Caller holds j.mu; the
-// returned func (the onTerminal notification) must be invoked after j.mu
-// is released.
+// returned func must be invoked after j.mu is released. It runs the
+// onTerminal hook and only then closes Done, so the terminal record is
+// durable (and resume accounting and registry eviction applied) before
+// any waiter can observe the job as finished.
 func (j *Job) finish(state JobState, err error) func() {
 	j.state = state
 	j.err = err
 	j.finished = time.Now()
-	close(j.done)
-	if j.onTerminal == nil {
-		return func() {}
+	return func() {
+		if j.onTerminal != nil {
+			j.onTerminal(j)
+		}
+		close(j.done)
 	}
-	return func() { j.onTerminal(j) }
 }
 
 // TryCancel atomically cancels the job if it is still running. It returns

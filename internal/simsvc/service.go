@@ -421,6 +421,9 @@ func New(cfg Config) (*Service, error) {
 	s.pool = harness.NewPool(ctx, cfg.Workers)
 	if cfg.Speculate {
 		s.spec = newSpeculation(s)
+		// A cell that finishes a job kicks speculation from inside its
+		// worker, which still counts as busy; kick again once it is idle.
+		s.pool.OnIdle(s.spec.kick)
 	}
 	if cfg.WorkStealing {
 		s.steal = newStealState()
