@@ -59,10 +59,6 @@ func main() {
 		faultSpec    = flag.String("faults", "", "chaos fault-injection spec, e.g. seed=1,panic=0.05,slow=0.1 (also $"+faults.EnvVar+")")
 		autoTimeout  = flag.Bool("auto-timeout", false, "auto-tune the per-cell timeout from the observed run-duration distribution (p99 × 3, clamped; -cell-timeout becomes the upper clamp)")
 
-		speculate   = flag.Bool("speculate", false, "pre-execute predicted follow-up sweeps on idle workers (internal/specexec)")
-		specBudget  = flag.Duration("spec-budget", 0, "wasted-CPU budget for speculation; exhausting it stops pre-execution (0: default 5m)")
-		specJournal = flag.String("spec-journal", "", "submission-history journal file for the predictor (default: <cache>.history)")
-
 		traceOn   = flag.Bool("trace", false, "record a span tree per sweep cell, served at GET /sweeps/{id}/trace and embedded in exports")
 		traceJobs = flag.Int("trace-jobs", 0, "job traces retained (0: default 64)")
 		flightN   = flag.Int("flight", 0, "flight-recorder ring size at GET /debug/flight (0: default 256)")
@@ -119,7 +115,7 @@ func main() {
 		}
 		for _, m := range members {
 			memberIDs = append(memberIDs, m.ID)
-			if m.ID != *nodeID && !slices.Contains(peerList, m.URL) {
+			if m.ID != *nodeID { // the fabric drops duplicates
 				peerList = append(peerList, m.URL)
 			}
 		}
@@ -158,9 +154,6 @@ func main() {
 		MaxJobs:         *maxJobs,
 		Faults:          inj,
 		AutoTimeout:     *autoTimeout,
-		Speculate:       *speculate,
-		SpecBudget:      *specBudget,
-		SpecJournal:     *specJournal,
 		Trace:           *traceOn,
 		TraceMaxJobs:    *traceJobs,
 		FlightEvents:    *flightN,
@@ -196,11 +189,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sdoserver: job journal at %s (sweeps survive restarts)\n", *journal)
 		}
 	}
-	if len(peerList) > 0 {
-		fmt.Fprintf(os.Stderr, "sdoserver: cache peering with %d peer(s): %s\n", len(peerList), strings.Join(peerList, ", "))
-	}
-	if *speculate {
-		fmt.Fprintln(os.Stderr, "sdoserver: speculative pre-execution enabled (status at GET /spec)")
+	if n := svc.Snapshot().PeersConfigured; n > 0 {
+		fmt.Fprintf(os.Stderr, "sdoserver: cache peering with %d peer(s): %s\n", n, strings.Join(peerList, ", "))
 	}
 	if *traceOn {
 		fmt.Fprintln(os.Stderr, "sdoserver: sweep tracing enabled (traces at GET /sweeps/{id}/trace)")

@@ -237,8 +237,15 @@ func New(cfg Config) *Client {
 		hc:   &http.Client{Timeout: cfg.Timeout},
 		stop: make(chan struct{}),
 	}
+	seen := make(map[string]bool, len(cfg.Peers))
 	for _, u := range cfg.Peers {
-		c.peers = append(c.peers, &peer{url: strings.TrimRight(u, "/")})
+		// A peer listed twice (say once with a trailing slash) would rank
+		// next to itself, so a lookup and its hedge would hit one node.
+		u = strings.TrimRight(u, "/")
+		if !seen[u] {
+			seen[u] = true
+			c.peers = append(c.peers, &peer{url: u})
+		}
 	}
 	if cfg.ProbeInterval > 0 {
 		c.wg.Add(1)

@@ -57,6 +57,16 @@ func TestNilClientMisses(t *testing.T) {
 	}
 }
 
+// TestDuplicatePeersCollapse: the same peer listed twice, once with a
+// trailing slash, is one peer.
+func TestDuplicatePeersCollapse(t *testing.T) {
+	c := New(fastCfg("http://x/", "http://x", "http://y"))
+	defer c.Close()
+	if n := c.Peers(); n != 2 {
+		t.Fatalf("Peers() = %d, want 2", n)
+	}
+}
+
 func TestLookupHitAndMiss(t *testing.T) {
 	srv, _ := cacheServer(t, map[string]string{"/cache/k1": "body-1"})
 	c := New(fastCfg(srv.URL))

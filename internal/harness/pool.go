@@ -20,7 +20,6 @@ type Pool struct {
 	queue  []func(context.Context)
 	closed bool
 	active int
-	onIdle func()
 	wg     sync.WaitGroup
 }
 
@@ -56,25 +55,8 @@ func (p *Pool) worker() {
 		fn(p.ctx)
 		p.mu.Lock()
 		p.active--
-		idle := p.onIdle
-		if len(p.queue) > 0 {
-			idle = nil
-		}
 		p.mu.Unlock()
-		if idle != nil {
-			idle()
-		}
 	}
-}
-
-// OnIdle registers fn to run each time a worker finishes a task and no
-// other task is queued: the moment idle capacity appears, which a task
-// cannot observe from inside (it still counts as Active). fn runs on the
-// worker goroutine, outside the pool's lock.
-func (p *Pool) OnIdle(fn func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.onIdle = fn
 }
 
 // Submit enqueues fn. It reports false (dropping fn) once Close has been

@@ -89,31 +89,6 @@ func TestPoolCounters(t *testing.T) {
 	}
 }
 
-// TestPoolOnIdle: the idle hook fires once the queue has drained, on a
-// worker that no longer counts as active — never between queued tasks.
-func TestPoolOnIdle(t *testing.T) {
-	p := NewPool(context.Background(), 1)
-	idle := make(chan int, 2)
-	p.OnIdle(func() { idle <- p.Active() })
-	release := make(chan struct{})
-	p.Submit(func(context.Context) { <-release })
-	p.Submit(func(context.Context) {})
-	close(release)
-	select {
-	case a := <-idle:
-		if a != 0 {
-			t.Fatalf("idle hook saw %d active workers, want 0", a)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("idle hook never ran")
-	}
-	p.Close()
-	p.Wait()
-	if n := len(idle); n != 0 {
-		t.Fatalf("idle hook ran %d extra times; want once, after the queue drained", n)
-	}
-}
-
 func TestRunContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

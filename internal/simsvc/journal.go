@@ -23,14 +23,16 @@ import (
 // result cache answer the cells that already completed — only the missing
 // cells are re-simulated (see resume.go).
 //
-// The format shares the specexec submission journal's robustness rules:
-// one self-describing JSON object per line, unknown fields ignored (so
-// future versions can add fields), malformed or truncated lines skipped
-// on replay instead of failing startup, and the whole file compacted
-// (terminal jobs dropped) atomically via temp+rename on load. Appends
-// that fail degrade the journal to memory-only — availability over
-// durability, surfaced through /healthz — rather than failing
-// submissions.
+// Robustness rules of the format:
+//   - one self-describing JSON object per line;
+//   - unknown fields are ignored, so future versions can add fields;
+//   - malformed or truncated lines are skipped on replay instead of
+//     failing startup;
+//   - on load the whole file is compacted (terminal jobs dropped)
+//     atomically via temp+rename;
+//   - appends that fail degrade the journal to memory-only rather than
+//     failing submissions — availability over durability, surfaced
+//     through /healthz.
 
 // Journal record operations.
 const (

@@ -458,7 +458,7 @@ func TestShutdownConcurrentWithCancel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(20 * time.Millisecond) // let cells start
+	waitSimulating(t, s)
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

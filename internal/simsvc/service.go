@@ -71,8 +71,7 @@ type Config struct {
 	// (nil in production: zero cost).
 	Faults *faults.Injector
 	// Recorder, when non-nil, receives ClassFault events (cell failures,
-	// retries, quarantine, persistence degradation) and, with speculation
-	// enabled, ClassSpec events.
+	// retries, quarantine, persistence degradation).
 	Recorder *obs.Recorder
 
 	// Trace enables the sweep-lifecycle span model (internal/obs/trace):
@@ -141,29 +140,6 @@ type Config struct {
 	// clamped to [1s, CellTimeout-or-10m]) once enough runs have been
 	// observed, instead of the one static CellTimeout. Off by default.
 	AutoTimeout bool
-
-	// Speculate enables predictive pre-execution: the service learns
-	// from the submission history which sweeps tend to follow which and
-	// runs the predicted cells on idle workers into the result cache
-	// (see internal/specexec). Off by default; when off, behavior is
-	// identical to a build without the subsystem.
-	Speculate bool
-	// SpecJournal persists the submission history as JSONL ("" with
-	// CachePath set: derived as CachePath+".history"; "" otherwise:
-	// in-memory history only).
-	SpecJournal string
-	// SpecBudget bounds cumulative wasted speculative compute; once
-	// cancelled/failed/expired speculation exceeds it, speculation is
-	// disabled for the life of the process (0: default 5m).
-	SpecBudget time.Duration
-	// SpecMinConfidence drops predictions scored below it (0: 0.2).
-	SpecMinConfidence float64
-	// SpecMinHitRate throttles speculation while the hit-rate over
-	// resolved speculations sits below it (0: 0.25).
-	SpecMinHitRate float64
-	// SpecMaxCells bounds cells pre-executed per prediction round
-	// (0: 64).
-	SpecMaxCells int
 }
 
 // withDefaults fills the zero-value policy knobs.
@@ -188,9 +164,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FlightEvents <= 0 {
 		c.FlightEvents = 256
-	}
-	if c.Speculate && c.SpecJournal == "" && c.CachePath != "" {
-		c.SpecJournal = c.CachePath + ".history"
 	}
 	if c.StealLeaseTTL <= 0 {
 		c.StealLeaseTTL = DefaultStealLeaseTTL
@@ -233,7 +206,6 @@ type Service struct {
 	cancel  context.CancelFunc
 	inj     *faults.Injector
 	rec     *obs.Recorder
-	spec    *speculation      // nil unless cfg.Speculate
 	tracer  *trace.Tracer     // nil unless cfg.Trace
 	flight  *obs.SafeRingSink // /debug/flight ring (always on)
 	journal *jobJournal       // nil unless cfg.JournalPath
@@ -245,7 +217,7 @@ type Service struct {
 	nextID   int
 	jobs     map[string]*Job
 	order    []string
-	inflight map[string]*flight
+	inflight map[string][]delivery // in-progress simulation → its waiters
 
 	// Checkpoint tier: one functional-warmup checkpoint per (workload
 	// fingerprint, warmup budget), captured once under singleflight and
@@ -329,18 +301,8 @@ type Service struct {
 	peerDur  *obs.Histogram // peer-lookup wall time (nil unless peering)
 }
 
-// flight is one in-progress simulation with every (job, cell) waiting on
-// it; the executing worker delivers the result to all of them. A
-// speculative flight additionally carries its cancellation (squash)
-// hook; a demand cell that joins one claims it, which both counts as a
-// speculation hit and protects it from preemption.
-type flight struct {
-	waiters []delivery
-	spec    bool               // pre-executing a predicted cell
-	claimed bool               // a demand cell joined a speculative flight
-	cancel  context.CancelFunc // squashes a speculative flight (spec only)
-}
-
+// delivery is one (job, cell) waiting on an in-progress simulation; the
+// executing worker delivers the result to every waiter of its flight.
 type delivery struct {
 	job *Job
 	idx int // cell index in the job's enumeration order
@@ -407,7 +369,7 @@ func New(cfg Config) (*Service, error) {
 		rec:      obs.NewRecorder(obs.ClassAll, sinks...),
 		flight:   ring,
 		jobs:     make(map[string]*Job),
-		inflight: make(map[string]*flight),
+		inflight: make(map[string][]delivery),
 		ckpts:    make(map[string]*ckFlight),
 		plans:    make(map[string]*planFlight),
 	}
@@ -419,12 +381,6 @@ func New(cfg Config) (*Service, error) {
 		s.event("cache-load-failed", cfg.CachePath)
 	}
 	s.pool = harness.NewPool(ctx, cfg.Workers)
-	if cfg.Speculate {
-		s.spec = newSpeculation(s)
-		// A cell that finishes a job kicks speculation from inside its
-		// worker, which still counts as busy; kick again once it is idle.
-		s.pool.OnIdle(s.spec.kick)
-	}
 	if cfg.WorkStealing {
 		s.steal = newStealState()
 	}
@@ -577,24 +533,6 @@ func (s *Service) registerMetrics() {
 	if s.cfg.AutoTimeout {
 		gau("sdo_cell_timeout_seconds", "Current auto-tuned per-cell deadline (0: none yet).",
 			func() float64 { return s.cellTimeout().Seconds() })
-	}
-	if sp := s.spec; sp != nil {
-		ctr("sdo_spec_predictions_total", "Prediction candidates that contributed pre-executable cells.",
-			func() float64 { return float64(sp.predictions.Load()) })
-		ctr("sdo_spec_cells_preexecuted_total", "Speculative cells run to completion into the result cache.",
-			func() float64 { return float64(sp.cellsExecuted.Load()) })
-		ctr("sdo_spec_hits_total", "Demand cells served by speculative pre-execution.",
-			func() float64 { return float64(sp.hits.Load()) })
-		ctr("sdo_spec_cancellations_total", "Speculative cells squashed mid-run by demand arrival or shutdown.",
-			func() float64 { return float64(sp.cancellations.Load()) })
-		ctr("sdo_spec_cpu_seconds_total", "Wall time spent executing speculative cells.",
-			func() float64 { return float64(sp.specNanos.Load()) / 1e9 })
-		ctr("sdo_spec_wasted_cpu_seconds_total", "Speculative wall time wasted (cancelled, failed or expired unclaimed).",
-			func() float64 { return float64(sp.wastedNanos.Load()) / 1e9 })
-		gau("sdo_spec_throttle_state", "Speculation governor state: 0 ok, 1 throttled (low hit-rate), 2 exhausted (budget spent).",
-			func() float64 { return float64(sp.gov.State()) })
-		gau("sdo_spec_backlog", "Speculative cells queued or running.",
-			func() float64 { return float64(sp.backlog()) })
 	}
 	if s.tracer != nil {
 		gau("sdo_trace_jobs", "Job traces currently retained.",
@@ -955,9 +893,8 @@ type submitOpts struct {
 	// jobs keep the ID sdoctl already holds.
 	id string
 	// resumed re-admissions bypass queue backpressure (the work was
-	// already admitted once), skip the write-ahead journal append (their
-	// submit record already survives in the journal) and skip the
-	// speculation predictor (the original submission already taught it).
+	// already admitted once) and skip the write-ahead journal append
+	// (their submit record already survives in the journal).
 	resumed bool
 }
 
@@ -1051,21 +988,6 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 			Detail: fmt.Sprintf("%s: %d cells", j.ID, len(cells))})
 	}
 
-	if s.spec != nil && !so.resumed {
-		// Demand preempts speculation: squash speculative cells this
-		// submission does not need (keeping ones it does — their demand
-		// cells will join the running flight as a hit), then teach the
-		// predictor the new transition.
-		keep := make(map[string]bool, len(cells))
-		for _, c := range cells {
-			if k, err := c.CacheKey(); err == nil {
-				keep[k] = true
-			}
-		}
-		s.spec.preempt(keep)
-		s.spec.observe(opt, req.Ablations)
-	}
-
 	enqueued := time.Now()
 	for i, c := range cells {
 		i, c := i, c
@@ -1080,9 +1002,7 @@ func (s *Service) submit(req SweepRequest, so submitOpts) (*Job, error) {
 }
 
 // jobFinished observes a job reaching a terminal state: the result cache
-// is persisted write-behind, the registry bound is enforced, and the
-// speculation engine is kicked — the pool is likely idle now, and the
-// just-finished job is fresh prediction context.
+// is persisted write-behind and the registry bound is enforced.
 func (s *Service) jobFinished(j *Job) {
 	st := j.Status()
 	if s.rec.On(obs.ClassTrace) {
@@ -1107,9 +1027,6 @@ func (s *Service) jobFinished(j *Job) {
 	s.evictJobsLocked()
 	s.mu.Unlock()
 	s.schedulePersist()
-	if s.spec != nil {
-		s.spec.kick()
-	}
 }
 
 // evictJobsLocked enforces the registry bounds (caller holds s.mu):
@@ -1305,17 +1222,27 @@ func (s *Service) Jobs() []*Job {
 	return out
 }
 
+// takeWaiters ends the in-progress simulation keyed by key and returns
+// every (job, cell) waiting on it.
+func (s *Service) takeWaiters(key string) []delivery {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	waiters := s.inflight[key]
+	delete(s.inflight, key)
+	return waiters
+}
+
 // flightAbandoned reports whether no job waiting on the in-flight run
 // keyed by key is still alive — the condition under which a mid-run cell
 // is aborted rather than finished.
 func (s *Service) flightAbandoned(key string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	f, ok := s.inflight[key]
+	waiters, ok := s.inflight[key]
 	if !ok {
 		return false
 	}
-	for _, w := range f.waiters {
+	for _, w := range waiters {
 		if !w.job.Terminal() {
 			return false
 		}
@@ -1386,45 +1313,18 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	cs.Set("hit", strconv.FormatBool(hit))
 	cs.Finish()
 	if hit {
-		note := "  [cached]"
-		if s.spec != nil {
-			if cpu, wasSpec := s.spec.track.Claim(key); wasSpec {
-				// The entry was pre-executed speculatively and this is
-				// the demand request it was predicted for: credit the
-				// governor with the compute the hit just saved, and
-				// stitch the pre-execution's spans into this trace.
-				s.spec.hits.Add(1)
-				s.spec.gov.Hit(cpu)
-				ct.Stitch(s.tracer.ClaimSpec(key))
-				note = "  [cached, speculated]"
-				s.spec.event("spec-hit", fmt.Sprintf("%s/%v/%v (saved %s)",
-					k.Workload, k.Variant, k.Model, cpu.Round(time.Millisecond)))
-			}
-		}
-		j.deliver(idx, k, r, line(r, note), true, 0, finishCell(ct, "cached"))
+		j.deliver(idx, k, r, line(r, "  [cached]"), true, 0, finishCell(ct, "cached"))
 		return
 	}
 	s.mu.Lock()
-	if f, ok := s.inflight[key]; ok {
+	if waiters, ok := s.inflight[key]; ok {
 		await := ct.Root().Child(trace.PhaseAwait)
-		f.waiters = append(f.waiters, delivery{job: j, idx: idx, key: k, ct: ct, await: await})
-		claimedNow := f.spec && !f.claimed
-		if claimedNow {
-			// Joining a still-running speculative flight claims it: it
-			// now counts as a hit and is immune to preemption.
-			f.claimed = true
-		}
+		s.inflight[key] = append(waiters, delivery{job: j, idx: idx, key: k, ct: ct, await: await})
 		s.mu.Unlock()
 		s.runsDeduped.Add(1)
-		if claimedNow {
-			s.spec.hits.Add(1)
-			s.spec.event("spec-hit", fmt.Sprintf("%s/%v/%v (joined in flight)",
-				k.Workload, k.Variant, k.Model))
-		}
 		return
 	}
-	f := &flight{waiters: []delivery{{job: j, idx: idx, key: k, ct: ct}}}
-	s.inflight[key] = f
+	s.inflight[key] = []delivery{{job: j, idx: idx, key: k, ct: ct}}
 	s.mu.Unlock()
 
 	// Work stealing: if a peer claimed this cell under a still-live
@@ -1434,10 +1334,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	// was never stolen.
 	if s.steal != nil {
 		if r, thief, ok := s.stealWait(ct.Root(), key); ok {
-			s.mu.Lock()
-			delete(s.inflight, key)
-			waiters := f.waiters
-			s.mu.Unlock()
+			waiters := s.takeWaiters(key)
 			for _, w := range waiters {
 				w.await.Finish()
 				w.job.deliver(w.idx, w.key, r, line(r, "  [stolen]"), true, 0, finishCell(w.ct, "stolen"))
@@ -1458,10 +1355,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 	if r, peerURL, ok := s.peerLookup(ct.Root(), key); ok {
 		s.cache.Put(key, r)
 		s.schedulePersist()
-		s.mu.Lock()
-		delete(s.inflight, key)
-		waiters := f.waiters
-		s.mu.Unlock()
+		waiters := s.takeWaiters(key)
 		for _, w := range waiters {
 			w.await.Finish()
 			w.job.deliver(w.idx, w.key, r, line(r, "  [peer]"), true, 0, finishCell(w.ct, "peer"))
@@ -1505,10 +1399,7 @@ func (s *Service) runCell(ctx context.Context, j *Job, idx int, spec RunSpec, en
 		}
 	}
 
-	s.mu.Lock()
-	delete(s.inflight, key)
-	waiters := f.waiters
-	s.mu.Unlock()
+	waiters := s.takeWaiters(key)
 
 	var ce *harness.CellError
 	switch {
@@ -1595,9 +1486,9 @@ func (s *Service) noteSlowCell(k harness.Key, elapsed time.Duration, ct *trace.C
 // or checkpoint tier, then the harness call under pol — and returns the
 // result, retry count, and how long the harness call itself took
 // (0 when the tiers failed before any simulation ran). Both the demand
-// path (runCell) and the speculative path (speculation.runCell) execute
-// cells through here, so a speculative result is bit-identical to the
-// demand result for the same key.
+// path (runCell) and a stolen cell's thief (RunStolen) execute cells
+// through here, so a stolen result is bit-identical to the demand
+// result for the same key.
 func (s *Service) execute(ctx context.Context, spec RunSpec, pol harness.RunPolicy) (core.Result, int, time.Duration, error) {
 	parent := trace.FromContext(ctx)
 	wl, err := workload.ByName(spec.Workload)
@@ -1783,11 +1674,6 @@ func (s *Service) Shutdown(ctx context.Context) error {
 
 	s.cancel() // queued cells skip; running cells finish
 	s.fab.Close()
-	if s.spec != nil {
-		// Speculative work is squashable by definition: cancel it all
-		// and join the goroutines before draining demand cells.
-		s.spec.stop()
-	}
 	s.pool.Close()
 	done := make(chan struct{})
 	go func() {
@@ -1881,17 +1767,6 @@ type Metrics struct {
 	ProfiledInstrs        uint64
 	SamplePlansPersisted  uint64
 	SamplePlanDiskHits    uint64
-
-	// Speculation counters (zero unless Config.Speculate).
-	SpecPredictions      uint64
-	SpecCellsExecuted    uint64
-	SpecHits             uint64
-	SpecCancellations    uint64
-	SpecCPUSeconds       float64
-	SpecWastedCPUSeconds float64
-	SpecThrottleState    string
-	SpecBacklog          int
-	SpecUnclaimed        int
 }
 
 // Snapshot gathers the current metrics.
@@ -1964,17 +1839,6 @@ func (s *Service) Snapshot() Metrics {
 		m.PeerHedges = fs.Hedges
 		m.PeersConfigured = f.Peers()
 		m.PeersAvailable = f.Available()
-	}
-	if sp := s.spec; sp != nil {
-		m.SpecPredictions = sp.predictions.Load()
-		m.SpecCellsExecuted = sp.cellsExecuted.Load()
-		m.SpecHits = sp.hits.Load()
-		m.SpecCancellations = sp.cancellations.Load()
-		m.SpecCPUSeconds = float64(sp.specNanos.Load()) / 1e9
-		m.SpecWastedCPUSeconds = float64(sp.wastedNanos.Load()) / 1e9
-		m.SpecThrottleState = sp.gov.State().String()
-		m.SpecBacklog = sp.backlog()
-		m.SpecUnclaimed = sp.track.Len()
 	}
 	return m
 }

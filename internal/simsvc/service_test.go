@@ -183,6 +183,25 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
+// waitSimulating blocks until at least one cell of s is simulating, so a
+// test can cancel mid-sweep on any host speed.
+func waitSimulating(t *testing.T, s *Service) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		s.mu.Lock()
+		n := len(s.inflight)
+		s.mu.Unlock()
+		if n > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no cell started simulating within 30s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestCancellationNoLeakedGoroutines: cancelling a large sweep mid-flight
 // and shutting the service down leaves no goroutines behind.
 func TestCancellationNoLeakedGoroutines(t *testing.T) {
@@ -193,8 +212,8 @@ func TestCancellationNoLeakedGoroutines(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Let at least one cell start, then cancel mid-sweep.
-	time.Sleep(50 * time.Millisecond)
+	// Wait until a cell is simulating, then cancel mid-sweep.
+	waitSimulating(t, s)
 	j.Cancel()
 	waitJob(t, j)
 	if st := j.Status(); st.State != JobCancelled {

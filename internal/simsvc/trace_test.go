@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -128,68 +127,6 @@ func TestTraceRetriedCell(t *testing.T) {
 	if retried == 0 {
 		t.Fatal("chaos seed produced no cell with multiple attempt spans")
 	}
-}
-
-// TestTraceSpeculationStitch checks that a speculative pre-execution
-// later claimed as a demand cache hit is stitched into the demand cell's
-// trace: the demand root gains a spec-preexec subtree and the
-// attribution accounts it beside (not inside) the wall clock.
-func TestTraceSpeculationStitch(t *testing.T) {
-	journal := filepath.Join(t.TempDir(), "history.jsonl")
-	reqA := specReq("exchange2_r", "unsafe")
-	reqB := specReq("exchange2_r", "hybrid")
-
-	s1 := newService(t, Config{Workers: 2, Speculate: true, SpecJournal: journal})
-	submitAndWait(t, s1, reqA)
-	submitAndWait(t, s1, reqB)
-	if err := s1.Shutdown(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-
-	s2 := newService(t, Config{Workers: 2, Speculate: true, SpecJournal: journal, Trace: true})
-	defer s2.Shutdown(context.Background())
-	submitAndWait(t, s2, reqA)
-
-	_, cellsB, err := s2.resolve(reqB)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pollUntil(t, "speculative pre-execution of B", 30*time.Second, func() bool {
-		for _, c := range cellsB {
-			key, err := c.CacheKey()
-			if err != nil || !s2.cache.Contains(key) {
-				return false
-			}
-		}
-		return true
-	})
-
-	j := submitAndWait(t, s2, reqB)
-	if st := j.Status(); st.Cached != st.Total {
-		t.Fatalf("B not served from cache: %+v", st)
-	}
-	doc := traceDoc(t, j)
-	if len(doc.Cells) != 1 {
-		t.Fatalf("trace has %d cells, want 1", len(doc.Cells))
-	}
-	cell := doc.Cells[0]
-	stitched := findSpans(cell.Spans, trace.PhaseSpec)
-	if len(stitched) != 1 {
-		t.Fatalf("demand cell has %d spec-preexec spans, want 1 stitched: %+v",
-			len(stitched), cell.Spans)
-	}
-	if stitched[0].Attrs["stitched"] != "true" {
-		t.Errorf("stitched span not marked: %v", stitched[0].Attrs)
-	}
-	// The speculation simulated for real, so its subtree carries the
-	// simulate/attempt chain and the attribution credits SpecUS.
-	if len(findSpans(stitched[0], trace.PhaseSimulate)) != 1 {
-		t.Errorf("stitched subtree has no simulate span")
-	}
-	if cell.Attribution.SpecUS <= 0 {
-		t.Errorf("attribution spec_preexec_us = %d, want > 0", cell.Attribution.SpecUS)
-	}
-	checkAttributionSums(t, cell)
 }
 
 // TestTraceOffByteIdentical is the zero-cost-off contract: with tracing
