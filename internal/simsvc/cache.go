@@ -7,6 +7,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -330,23 +331,33 @@ func (c *Cache) Save(path string) error {
 	if err != nil {
 		return fmt.Errorf("simsvc: encode cache: %w", err)
 	}
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, ".sdo-cache-*")
+	err = writeFileAtomic(path, ".sdo-cache-*", func(w io.Writer) error {
+		_, err := w.Write(data)
+		return err
+	})
 	if err != nil {
 		return fmt.Errorf("simsvc: save cache: %w", err)
 	}
+	return nil
+}
+
+// writeFileAtomic writes path through a temp file (named by pattern, as
+// for os.CreateTemp) in the same directory and a rename, so a crash
+// mid-write leaves either the previous file or none, never a torn one.
+func writeFileAtomic(path, pattern string, write func(io.Writer) error) error {
+	tmp, err := os.CreateTemp(filepath.Dir(path), pattern)
+	if err != nil {
+		return err
+	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
+	if err := write(tmp); err != nil {
 		tmp.Close()
-		return fmt.Errorf("simsvc: save cache: %w", err)
+		return err
 	}
 	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
+		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("simsvc: save cache: %w", err)
-	}
-	return nil
+	return os.Rename(tmp.Name(), path)
 }
 
 // LoadCache reads a persisted cache. A missing file yields an empty

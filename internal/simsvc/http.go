@@ -77,9 +77,15 @@ func (s *Service) Handler() http.Handler {
 // /cache, a miss is an authoritative 404 — the healthy "I don't have
 // it" that keeps the peer's breaker closed.
 func (s *Service) handleArtifact(w http.ResponseWriter, r *http.Request) {
-	body, ok := s.ArtifactEntry(r.PathValue("kind"), r.PathValue("hash"))
+	hash := r.PathValue("hash")
+	data, ok := s.store.read(r.PathValue("kind"), hash)
 	if !ok {
 		http.Error(w, "unknown artifact", http.StatusNotFound)
+		return
+	}
+	body, err := encodeArtifact(hash, data)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -200,7 +200,7 @@ const persistDebounce = 100 * time.Millisecond
 type Service struct {
 	cfg     Config
 	cache   *Cache
-	ckstore *ckptStore
+	store   *artifactStore
 	pool    *harness.Pool
 	ctx     context.Context
 	cancel  context.CancelFunc
@@ -219,22 +219,16 @@ type Service struct {
 	order    []string
 	inflight map[string][]delivery // in-progress simulation → its waiters
 
-	// Checkpoint tier: one functional-warmup checkpoint per (workload
-	// fingerprint, warmup budget), captured once under singleflight and
-	// restored by every functional-mode cell that shares it. Unbounded,
-	// but entries exist only per distinct (workload, warmup) pair — a
-	// handful per deployment.
-	ckMu  sync.Mutex
-	ckpts map[string]*ckFlight
-
-	// Sample-plan tier: one BBV profile + clustering + checkpoint series
-	// per (workload fingerprint, window, sampling config), built once
-	// under singleflight and executed by every sampled-mode cell that
-	// shares it (see RunSpec.PlanKey). The expensive part of sampled mode
-	// — one functional profiling pass plus k-means — is thereby paid once
-	// per workload per sweep shape, like the checkpoint tier above.
-	planMu sync.Mutex
-	plans  map[string]*planFlight
+	// Artifact tiers (artifacts.go). ckpts holds one functional-warmup
+	// checkpoint per (workload fingerprint, warmup budget), restored by
+	// every functional-mode cell that shares it. plans holds one BBV
+	// profile + clustering + checkpoint series per (workload fingerprint,
+	// window, sampling config), executed by every sampled-mode cell that
+	// shares it (see RunSpec.PlanKey), so the expensive part of sampled
+	// mode is paid once per workload per sweep shape. Unbounded, but
+	// entries exist only per distinct key — a handful per deployment.
+	ckpts *artifactTier[*arch.Checkpoint]
+	plans *artifactTier[*planFile]
 
 	// Write-behind cache persistence: schedulePersist debounces a
 	// background save after each terminal job; repeated failures flip
@@ -274,25 +268,16 @@ type Service struct {
 	resumeReruns  atomic.Uint64 // resumed cells that had to re-simulate
 	resuming      atomic.Int64  // resumed jobs not yet terminal (healthz: degraded)
 
-	ckptsCaptured   atomic.Uint64 // warmup checkpoints captured
-	ckptHits        atomic.Uint64 // cells that restored an existing checkpoint
 	warmupSimulated atomic.Uint64 // warmup instructions actually simulated
-	ckptsPersisted  atomic.Uint64 // checkpoints written to the disk store
-	ckptDiskHits    atomic.Uint64 // checkpoint-tier misses answered from disk
+	planCkpts       atomic.Uint64 // checkpoints captured by sample-plan builds
 
-	ckptPeerHits   atomic.Uint64 // checkpoint-tier misses answered by a cluster peer
-	planPeerHits   atomic.Uint64 // plan-tier misses answered by a cluster peer
 	cellsStolen    atomic.Uint64 // queued cells leased out to work-stealing peers
 	stealCompleted atomic.Uint64 // stolen-cell results delivered back (either side)
 	leaseExpiries  atomic.Uint64 // steal leases that expired unfulfilled (cell reclaimed)
 
-	plansBuilt     atomic.Uint64 // sample plans built (profile + cluster + checkpoints)
-	planHits       atomic.Uint64 // sampled cells that reused an existing plan
 	sampledCells   atomic.Uint64 // cells executed in sampled mode
 	sampledInstrs  atomic.Uint64 // detailed instructions executed by sampled cells
 	profiledInstrs atomic.Uint64 // functional instructions spent profiling BBVs
-	plansPersisted atomic.Uint64 // sample plans written to the disk store
-	planDiskHits   atomic.Uint64 // plan-tier misses answered from disk
 
 	reg      *obs.Registry
 	runDur   *obs.Histogram // per-run wall time
@@ -313,21 +298,6 @@ type delivery struct {
 	// — the open await-inflight span the deliverer finishes.
 	ct    *trace.CellTrace
 	await *trace.Span
-}
-
-// ckFlight is one checkpoint-tier entry: the first cell to need it
-// captures while later cells block on done.
-type ckFlight struct {
-	done chan struct{}
-	ck   *arch.Checkpoint
-}
-
-// planFlight is one sample-plan-tier entry: the first sampled cell to
-// need it profiles/clusters/captures while later cells block on done.
-type planFlight struct {
-	done chan struct{}
-	sp   *harness.SamplePlan
-	err  error
 }
 
 // New starts a service. The persisted cache at cfg.CachePath, if any, is
@@ -362,7 +332,7 @@ func New(cfg Config) (*Service, error) {
 	s := &Service{
 		cfg:      cfg,
 		cache:    cache,
-		ckstore:  newCkptStore(cfg.CachePath, cfg.Faults),
+		store:    newArtifactStore(cfg.CachePath, cfg.Faults),
 		ctx:      ctx,
 		cancel:   cancel,
 		inj:      cfg.Faults,
@@ -370,9 +340,9 @@ func New(cfg Config) (*Service, error) {
 		flight:   ring,
 		jobs:     make(map[string]*Job),
 		inflight: make(map[string][]delivery),
-		ckpts:    make(map[string]*ckFlight),
-		plans:    make(map[string]*planFlight),
 	}
+	s.ckpts = newArtifactTier(s, "ckpt", (*arch.Checkpoint).Encode, arch.Decode)
+	s.plans = newArtifactTier(s, "plan", encodePlan, decodePlan)
 	if cfg.Trace {
 		s.tracer = trace.New(cfg.TraceMaxJobs)
 	}
@@ -501,19 +471,19 @@ func (s *Service) registerMetrics() {
 	ctr("sdo_faults_injected_total", "Chaos faults injected (0 unless fault injection is enabled).",
 		func() float64 { return float64(s.inj.Stats().Total()) })
 	ctr("sdo_checkpoints_captured_total", "Functional-warmup checkpoints captured.",
-		func() float64 { return float64(s.ckptsCaptured.Load()) })
+		func() float64 { return float64(s.ckpts.built.Load() + s.planCkpts.Load()) })
 	ctr("sdo_checkpoint_hits_total", "Cells that restored an existing warmup checkpoint.",
-		func() float64 { return float64(s.ckptHits.Load()) })
+		func() float64 { return float64(s.ckpts.hits.Load()) })
 	ctr("sdo_warmup_instrs_simulated_total", "Warmup instructions actually simulated (checkpoint reuse keeps this at one warmup per workload).",
 		func() float64 { return float64(s.warmupSimulated.Load()) })
 	ctr("sdo_checkpoints_persisted_total", "Warmup checkpoints written to the on-disk store.",
-		func() float64 { return float64(s.ckptsPersisted.Load()) })
+		func() float64 { return float64(s.ckpts.persisted.Load()) })
 	ctr("sdo_checkpoint_disk_hits_total", "Checkpoint-tier misses answered from the on-disk store (warmup skipped across restarts).",
-		func() float64 { return float64(s.ckptDiskHits.Load()) })
+		func() float64 { return float64(s.ckpts.diskHits.Load()) })
 	ctr("sdo_sample_plans_built_total", "Sampling plans built (BBV profile + clustering + checkpoint series).",
-		func() float64 { return float64(s.plansBuilt.Load()) })
+		func() float64 { return float64(s.plans.built.Load()) })
 	ctr("sdo_sample_plan_hits_total", "Sampled cells that reused an existing sampling plan.",
-		func() float64 { return float64(s.planHits.Load()) })
+		func() float64 { return float64(s.plans.hits.Load()) })
 	ctr("sdo_sampled_cells_total", "Cells executed in sampled (SimPoint) mode.",
 		func() float64 { return float64(s.sampledCells.Load()) })
 	ctr("sdo_sampled_detailed_instrs_total", "Detailed instructions executed by sampled cells (vs. max_instrs per cell in detailed mode).",
@@ -521,9 +491,9 @@ func (s *Service) registerMetrics() {
 	ctr("sdo_profiled_instrs_total", "Functional instructions spent on BBV profiling passes.",
 		func() float64 { return float64(s.profiledInstrs.Load()) })
 	ctr("sdo_sample_plans_persisted_total", "Sampling plans written to the on-disk store.",
-		func() float64 { return float64(s.plansPersisted.Load()) })
+		func() float64 { return float64(s.plans.persisted.Load()) })
 	ctr("sdo_sample_plan_disk_hits_total", "Plan-tier misses answered from the on-disk store (BBV re-profiling skipped across restarts).",
-		func() float64 { return float64(s.planDiskHits.Load()) })
+		func() float64 { return float64(s.plans.diskHits.Load()) })
 	s.runDur = r.NewHistogram("sdo_run_duration_seconds",
 		"Wall time of individual executed simulations.", obs.DefaultLatencyBuckets())
 	s.queueLat = r.NewHistogram("sdo_queue_latency_seconds",
@@ -579,9 +549,9 @@ func (s *Service) registerMetrics() {
 	}
 	if s.cfg.PeerArtifacts {
 		ctr("sdo_cluster_ckpt_peer_hits_total", "Checkpoint-tier misses answered by a cluster peer (warmup skipped).",
-			func() float64 { return float64(s.ckptPeerHits.Load()) })
+			func() float64 { return float64(s.ckpts.peerHits.Load()) })
 		ctr("sdo_cluster_plan_peer_hits_total", "Sample-plan-tier misses answered by a cluster peer (BBV profiling skipped).",
-			func() float64 { return float64(s.planPeerHits.Load()) })
+			func() float64 { return float64(s.plans.peerHits.Load()) })
 	}
 	if s.steal != nil {
 		ctr("sdo_cluster_cells_stolen_total", "Queued cells leased out to work-stealing cluster peers.",
@@ -1056,151 +1026,59 @@ func (s *Service) evictJobsLocked() {
 	}
 }
 
-// checkpoint returns the warmup checkpoint for key: from the in-memory
-// tier, else from the on-disk store (a restarted server restores warm
-// state instead of re-simulating warmup), else captured fresh — under
-// singleflight, so concurrent cells for the same workload block until the
-// one load/capture finishes. A freshly-captured checkpoint is persisted
-// best-effort for the next restart. A panicking capture is isolated: this
-// cell (and any that were blocked on the flight) gets nil and falls back
-// to in-place warmup; the flight is dropped so a later cell can retry.
+// checkpoint returns the warmup checkpoint for key through the ckpt
+// tier, capturing it on a miss. A failed capture yields nil: the caller
+// falls back to in-place warmup.
 func (s *Service) checkpoint(parent *trace.Span, key string, wl workload.Workload, warmup uint64) *arch.Checkpoint {
-	s.ckMu.Lock()
-	f, ok := s.ckpts[key]
-	if !ok {
-		f = &ckFlight{done: make(chan struct{})}
-		s.ckpts[key] = f
-		s.ckMu.Unlock()
-		fromDisk, fromPeer := false, false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.event("checkpoint-panic", fmt.Sprintf("%s: %v", key, r))
-				}
-				close(f.done)
-			}()
-			if ck := s.ckstore.load(key, warmup); ck != nil {
-				f.ck, fromDisk = ck, true
-				return
-			}
-			if ck := s.peerCheckpoint(parent, key, warmup); ck != nil {
-				f.ck, fromPeer = ck, true
-				return
-			}
-			f.ck = harness.CaptureCheckpoint(wl, warmup)
-		}()
-		if f.ck == nil {
-			s.ckMu.Lock()
-			delete(s.ckpts, key)
-			s.ckMu.Unlock()
-			return nil
-		}
-		if fromDisk {
-			s.ckptDiskHits.Add(1)
-			return f.ck
-		}
-		if fromPeer {
-			// peerCheckpoint already counted the hit and persisted it.
-			return f.ck
-		}
-		s.ckptsCaptured.Add(1)
-		s.warmupSimulated.Add(f.ck.Arch.Instrs)
-		if s.ckstore.enabled() {
-			if err := s.ckstore.save(key, f.ck); err != nil {
-				s.event("checkpoint-persist-failed", err.Error())
-			} else {
-				s.ckptsPersisted.Add(1)
-			}
-		}
-		return f.ck
+	ck, err := s.ckpts.get(parent, key,
+		func(ck *arch.Checkpoint) bool { return ck.WarmupInstrs == warmup },
+		func() (*arch.Checkpoint, error) {
+			ck := harness.CaptureCheckpoint(wl, warmup)
+			s.warmupSimulated.Add(ck.Arch.Instrs)
+			return ck, nil
+		})
+	if err != nil {
+		return nil
 	}
-	s.ckMu.Unlock()
-	<-f.done
-	if f.ck != nil {
-		s.ckptHits.Add(1)
-	}
-	return f.ck
+	return ck
 }
 
-// samplePlan returns the sampling plan for key: from the in-memory
-// tier, else from the on-disk store (a restarted server skips the BBV
-// re-profiling pass), else built fresh — under singleflight, so
-// concurrent sampled cells for the same workload block until the one
-// load/build finishes. A freshly-built plan is persisted best-effort
-// next to the checkpoints for the next restart. A failed or panicking
-// build fails this cell and any blocked on the flight; the flight is
-// dropped so a later cell can retry.
+// samplePlan returns the sampling plan for key through the plan tier,
+// profiling, clustering and capturing it on a miss. A failed build
+// fails the cell.
 func (s *Service) samplePlan(parent *trace.Span, key string, wl workload.Workload, spec RunSpec) (*harness.SamplePlan, error) {
-	s.planMu.Lock()
-	f, ok := s.plans[key]
-	if !ok {
-		f = &planFlight{done: make(chan struct{})}
-		s.plans[key] = f
-		s.planMu.Unlock()
-		start := time.Now()
-		cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
-		fromDisk, fromPeer := false, false
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					f.err = fmt.Errorf("simsvc: sample plan for %s panicked: %v", spec.Workload, r)
-					s.event("plan-panic", fmt.Sprintf("%s: %v", key, r))
-				}
-				close(f.done)
-			}()
-			if sp := s.ckstore.loadPlan(key, spec.WarmupInstrs, spec.MaxInstrs, cfg); sp != nil {
-				f.sp, fromDisk = sp, true
-				return
+	cfg := simpoint.Config{IntervalInstrs: spec.SampleInterval, MaxK: spec.SampleMaxK, Seed: spec.SampleSeed}
+	pf, err := s.plans.get(parent, key,
+		func(pf *planFile) bool {
+			return pf.Plan != nil && pf.Warmup == spec.WarmupInstrs && pf.Window == spec.MaxInstrs &&
+				pf.Cfg == cfg && len(pf.Checkpoints) == len(pf.Plan.Reps)
+		},
+		func() (*planFile, error) {
+			start := time.Now()
+			sp, err := harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
+			if err != nil {
+				return nil, err
 			}
-			if sp := s.peerPlan(parent, key, spec, cfg); sp != nil {
-				f.sp, fromPeer = sp, true
-				return
+			s.planDur.Observe(time.Since(start).Seconds())
+			s.profiledInstrs.Add(sp.Plan.ProfiledInstrs)
+			s.planCkpts.Add(uint64(len(sp.Checkpoints)))
+			if n := len(sp.Checkpoints); n > 0 {
+				// One continuous capture pass warms to the last boundary.
+				s.warmupSimulated.Add(sp.Checkpoints[n-1].Arch.Instrs)
 			}
-			f.sp, f.err = harness.BuildSamplePlan(wl, spec.WarmupInstrs, spec.MaxInstrs, cfg)
-		}()
-		if f.err != nil {
-			s.planMu.Lock()
-			delete(s.plans, key)
-			s.planMu.Unlock()
-			return nil, f.err
-		}
-		if fromDisk {
-			s.planDiskHits.Add(1)
-			return f.sp, nil
-		}
-		if fromPeer {
-			// peerPlan already counted the hit and persisted it.
-			return f.sp, nil
-		}
-		s.planDur.Observe(time.Since(start).Seconds())
-		s.plansBuilt.Add(1)
-		s.profiledInstrs.Add(f.sp.Plan.ProfiledInstrs)
-		s.ckptsCaptured.Add(uint64(len(f.sp.Checkpoints)))
-		if n := len(f.sp.Checkpoints); n > 0 {
-			// One continuous capture pass warms to the last boundary.
-			s.warmupSimulated.Add(f.sp.Checkpoints[n-1].Arch.Instrs)
-		}
-		if s.ckstore.enabled() {
-			if err := s.ckstore.savePlan(key, spec.WarmupInstrs, spec.MaxInstrs, cfg, f.sp); err != nil {
-				s.event("plan-persist-failed", err.Error())
-			} else {
-				s.plansPersisted.Add(1)
+			if s.rec.On(obs.ClassSample) {
+				s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
+					Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
+						spec.Workload, sp.Plan.K, sp.Plan.NumIntervals,
+						sp.Plan.SampledInstrs(), sp.Plan.WindowInstrs, sp.Plan.ErrEstimate)})
 			}
-		}
-		if s.rec.On(obs.ClassSample) {
-			s.rec.Emit(obs.Event{Class: obs.ClassSample, Kind: "plan-built",
-				Detail: fmt.Sprintf("%s: k=%d/%d intervals, sampled %d/%d instrs, err-est %.3f",
-					spec.Workload, f.sp.Plan.K, f.sp.Plan.NumIntervals,
-					f.sp.Plan.SampledInstrs(), f.sp.Plan.WindowInstrs, f.sp.Plan.ErrEstimate)})
-		}
-		return f.sp, nil
+			return &planFile{Warmup: spec.WarmupInstrs, Window: spec.MaxInstrs, Cfg: cfg,
+				Plan: sp.Plan, Checkpoints: sp.Checkpoints}, nil
+		})
+	if err != nil {
+		return nil, err
 	}
-	s.planMu.Unlock()
-	<-f.done
-	if f.sp != nil {
-		s.planHits.Add(1)
-	}
-	return f.sp, f.err
+	return &harness.SamplePlan{Plan: pf.Plan, Checkpoints: pf.Checkpoints}, nil
 }
 
 // Job returns a submitted job by ID.
@@ -1806,19 +1684,19 @@ func (s *Service) Snapshot() Metrics {
 		CacheDegraded:         s.cacheDegraded.Load(),
 		FaultsInjected:        s.inj.Stats().Total(),
 
-		CheckpointsCaptured:   s.ckptsCaptured.Load(),
-		CheckpointHits:        s.ckptHits.Load(),
+		CheckpointsCaptured:   s.ckpts.built.Load() + s.planCkpts.Load(),
+		CheckpointHits:        s.ckpts.hits.Load(),
 		WarmupInstrsSimulated: s.warmupSimulated.Load(),
-		CheckpointsPersisted:  s.ckptsPersisted.Load(),
-		CheckpointDiskHits:    s.ckptDiskHits.Load(),
+		CheckpointsPersisted:  s.ckpts.persisted.Load(),
+		CheckpointDiskHits:    s.ckpts.diskHits.Load(),
 
-		SamplePlansBuilt:      s.plansBuilt.Load(),
-		SamplePlanHits:        s.planHits.Load(),
+		SamplePlansBuilt:      s.plans.built.Load(),
+		SamplePlanHits:        s.plans.hits.Load(),
 		SampledCells:          s.sampledCells.Load(),
 		SampledDetailedInstrs: s.sampledInstrs.Load(),
 		ProfiledInstrs:        s.profiledInstrs.Load(),
-		SamplePlansPersisted:  s.plansPersisted.Load(),
-		SamplePlanDiskHits:    s.planDiskHits.Load(),
+		SamplePlansPersisted:  s.plans.persisted.Load(),
+		SamplePlanDiskHits:    s.plans.diskHits.Load(),
 	}
 	if jn := s.journal; jn != nil {
 		m.ResumedJobs = s.resumedJobs.Load()
